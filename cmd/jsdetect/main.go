@@ -158,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "jsdetect: load level 2: %v\n", err)
 		return 1
 	}
-	scanOpts := core.ScanOptions{Workers: opts.workers, Explain: opts.explain, StageStats: opts.metrics, Dedup: opts.dedup, Triage: opts.triage}
+	scanOpts := core.ScanOptions{Workers: opts.workers, Explain: opts.explain, Dedup: opts.dedup, Triage: opts.triage}
 	if opts.storeDir != "" {
 		vs, err := store.Open(opts.storeDir)
 		if err != nil {

@@ -301,8 +301,11 @@ func Analyze(src string) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	g := flow.Build(res.Program, flow.Options{})
-	return AnalyzeParsed(src, res, g), nil
+	var diags []Diagnostic
+	flow.Use(res.Program, flow.Options{}, func(g *flow.Graph) {
+		diags = AnalyzeParsed(src, res, g)
+	})
+	return diags, nil
 }
 
 // AnalyzeParsed runs the default rules over an already-parsed file. g may be

@@ -240,7 +240,7 @@ func TestWithGraphScopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := flow.Build(res.Program, flow.Options{})
+	g := flow.NewSession().Build(res.Program, flow.Options{})
 	diags := AnalyzeParsed(compositeSource, res, g)
 	if _, ok := findRule(diags, "dynamic-code-sink"); !ok {
 		t.Errorf("dynamic-code-sink did not resolve eval(_0x78aa) through its binding; got %v", ruleIDs(diags))

@@ -32,6 +32,7 @@ func benchSource(b *testing.B) string {
 // against: parsing plus flow-graph construction only.
 func BenchmarkParseFlow(b *testing.B) {
 	src := benchSource(b)
+	fs := flow.NewSession()
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -40,7 +41,7 @@ func BenchmarkParseFlow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		flow.Build(res.Program, flow.Options{})
+		fs.Build(res.Program, flow.Options{})
 	}
 }
 
@@ -49,6 +50,7 @@ func BenchmarkParseFlow(b *testing.B) {
 // overhead over BenchmarkParseFlow (budget: < 20%).
 func BenchmarkAnalyze(b *testing.B) {
 	src := benchSource(b)
+	fs := flow.NewSession()
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -57,7 +59,7 @@ func BenchmarkAnalyze(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g := flow.Build(res.Program, flow.Options{})
+		g := fs.Build(res.Program, flow.Options{})
 		if diags := AnalyzeParsed(src, res, g); len(diags) == 0 {
 			b.Fatal("expected diagnostics on obfuscated sample")
 		}
@@ -72,7 +74,7 @@ func BenchmarkAnalyzeOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := flow.Build(res.Program, flow.Options{})
+	g := flow.NewSession().Build(res.Program, flow.Options{})
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/features"
+	"repro/internal/flow"
 	"repro/internal/js/parser"
 )
 
@@ -49,9 +51,12 @@ func (d *Detector) Explain(src string) (*Explanation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	g := d.extractor.Flow(res)
-	diags := analysis.AnalyzeParsed(src, res, g)
-	vec := d.extractor.ExtractFull(src, res, g, diags)
+	var diags []analysis.Diagnostic
+	var vec features.Vector
+	flow.Use(res.Program, d.extractor.FlowOptions(), func(g *flow.Graph) {
+		diags = analysis.AnalyzeParsed(src, res, g)
+		vec = d.extractor.ExtractFull(src, res, g, diags)
+	})
 	return &Explanation{
 		Labels:      d.Labels(),
 		Probs:       d.model.PredictProbs(vec),

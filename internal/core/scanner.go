@@ -32,11 +32,6 @@ type ScanOptions struct {
 	// the diagnostics to its FileResult. The rules run over the scan's
 	// shared parse, so this does not add a parse pass.
 	Explain bool
-	// StageStats collects the per-stage timing/bytes breakdown into
-	// ScanStats.Stages. Stage stats are also collected, regardless of this
-	// setting, while the process-wide obs registry is enabled (jsdetect
-	// -metrics); otherwise the scan skips the per-file clock reads.
-	StageStats bool
 	// ForceLevel2 ranks the transformation techniques for every parsed
 	// file, not only the ones level 1 flags as transformed. The scan
 	// service uses it so every response carries the full per-technique
@@ -62,14 +57,6 @@ type ScanOptions struct {
 	// TriageConfig tunes the triage router; the zero value uses the
 	// documented defaults the false-bypass gate validates.
 	TriageConfig triage.Config
-	// DetachedGraphs opts out of the pooled flow plane: each file's flow
-	// graph is deep-copied into self-contained storage instead of aliasing
-	// the worker's flow.Session. The default (false) is safe for the
-	// pipeline itself — the graph is consumed before the worker moves to
-	// the next file and nothing in FileResult retains it — so this knob
-	// exists for embedders who hook custom rules that stash graph or scope
-	// pointers past the per-file scan.
-	DetachedGraphs bool
 	// VerdictStore, when non-nil, extends the in-memory dedup cache across
 	// process restarts: completed verdicts are persisted to the store keyed
 	// by content hash (salted with the model identity, so a store directory
@@ -154,8 +141,8 @@ type ScanStats struct {
 	// Duration is the wall-clock time of the scan.
 	Duration time.Duration
 	// Stages is the per-stage timing/bytes breakdown, in pipeline order.
-	// It is nil unless the scan ran with ScanOptions.StageStats or with the
-	// obs registry enabled. Stage durations are summed across workers and
+	// It is collected exactly when the obs registry is enabled (jsdetect
+	// -metrics, jsscand) and is nil otherwise. Stage durations are summed across workers and
 	// cover every scanned file, including ones a cancelled scan never
 	// emitted.
 	Stages []StageStats
@@ -338,8 +325,7 @@ func (s *Scanner) StoreStats() (stats store.Stats, ok bool) {
 // feature vector, both detectors, and (under Explain) the indicator rules.
 // acc, when non-nil, receives the per-stage cost breakdown. ps and fs
 // amortize parser, lexer, scope, and flow-graph state across the files this
-// worker scans; the session-backed graph never outlives this call (see
-// ScanOptions.DetachedGraphs for the opt-out).
+// worker scans; the session-backed graph never outlives this call.
 func (s *Scanner) scanFile(in Input, acc *stageAcc, ps *parser.Session, fs *flow.Session) FileResult {
 	out := FileResult{Path: in.Path, Bytes: len(in.Source)}
 	t := newStageTimer(acc, len(in.Source))
@@ -350,9 +336,6 @@ func (s *Scanner) scanFile(in Input, acc *stageAcc, ps *parser.Session, fs *flow
 		return out
 	}
 	g := s.ext.FlowSession(fs, res)
-	if s.opts.DetachedGraphs {
-		g = g.Detach()
-	}
 	t.tick(stageFlow)
 	var diags []analysis.Diagnostic
 	if s.opts.Explain || s.ext.Options().RuleFeatures {
@@ -403,7 +386,7 @@ func (s *Scanner) ScanStreamContext(ctx context.Context, inputs []Input, emit fu
 	}
 
 	var acc *stageAcc
-	if s.opts.StageStats || obs.Enabled() {
+	if obs.Enabled() {
 		acc = &stageAcc{}
 	}
 	results := make([]FileResult, n)

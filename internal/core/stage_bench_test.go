@@ -96,9 +96,11 @@ func BenchmarkStageFlow(b *testing.B) {
 
 func BenchmarkStageRules(b *testing.B) {
 	inputs, results := parsedBatch(b)
+	// Every graph stays live for the whole benchmark, so each gets its own
+	// session.
 	graphs := make([]*flow.Graph, len(results))
 	for i, res := range results {
-		graphs[i] = flow.Build(res.Program, flow.Options{})
+		graphs[i] = flow.NewSession().Build(res.Program, flow.Options{})
 	}
 	b.SetBytes(totalBytes(inputs))
 	b.ResetTimer()
@@ -115,7 +117,7 @@ func BenchmarkStageFeatures(b *testing.B) {
 	graphs := make([]*flow.Graph, len(results))
 	diags := make([][]analysis.Diagnostic, len(results))
 	for i, res := range results {
-		graphs[i] = flow.Build(res.Program, flow.Options{})
+		graphs[i] = flow.NewSession().Build(res.Program, flow.Options{})
 		diags[i] = analysis.AnalyzeParsed(inputs[i].Source, res, graphs[i])
 	}
 	ex := features.NewExtractor(features.Options{NGramDims: 1024})
@@ -165,8 +167,9 @@ func BenchmarkStageInference(b *testing.B) {
 	inputs, results := parsedBatch(b)
 	ex := features.NewExtractor(features.Options{NGramDims: 1024})
 	vectors := make([][]float64, len(results))
+	fs := flow.NewSession()
 	for i, res := range results {
-		g := flow.Build(res.Program, flow.Options{})
+		g := fs.Build(res.Program, flow.Options{})
 		vectors[i] = ex.ExtractFull(inputs[i].Source, res, g, nil)
 	}
 	dims := len(vectors[0])

@@ -11,8 +11,7 @@ import (
 // accumulator breaks a scan's cost down across them so ScanStats (and
 // jsdetect -metrics) can report where the time goes. Collection is off by
 // default: it costs a handful of clock reads per file, which the hot path
-// only pays when ScanOptions.StageStats is set or the obs registry is
-// enabled.
+// only pays while the obs registry is enabled.
 
 // Stage indices, in pipeline order.
 const (

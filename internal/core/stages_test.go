@@ -9,11 +9,21 @@ import (
 )
 
 // swapOutObs detaches any process-wide obs registry for the duration of a
-// test so StageStats gating is deterministic.
+// test so stage-stats gating is deterministic.
 func swapOutObs(t *testing.T) {
 	t.Helper()
 	prev := obs.Swap(nil)
 	t.Cleanup(func() { obs.Swap(prev) })
+}
+
+// swapInObs installs a fresh obs registry for the duration of a test, the
+// way jsdetect -metrics does, and returns it.
+func swapInObs(t *testing.T) *obs.Registry {
+	t.Helper()
+	reg := obs.NewRegistry()
+	prev := obs.Swap(reg)
+	t.Cleanup(func() { obs.Swap(prev) })
+	return reg
 }
 
 func TestScanStagesOffByDefault(t *testing.T) {
@@ -21,7 +31,7 @@ func TestScanStagesOffByDefault(t *testing.T) {
 	s := tinyScanner(t, ScanOptions{Workers: 2}, features.Options{NGramDims: 128})
 	_, stats := s.ScanBatch(scanInputs(4))
 	if stats.Stages != nil {
-		t.Fatalf("Stages collected without StageStats or obs: %+v", stats.Stages)
+		t.Fatalf("Stages collected without obs: %+v", stats.Stages)
 	}
 }
 
@@ -30,8 +40,8 @@ func TestScanStagesOffByDefault(t *testing.T) {
 // whole scan wall time (everything outside the stages is pool scheduling
 // and emission, which is small next to parsing).
 func TestScanStageBreakdown(t *testing.T) {
-	swapOutObs(t)
-	s := tinyScanner(t, ScanOptions{Workers: 1, Explain: true, StageStats: true}, features.Options{NGramDims: 256})
+	swapInObs(t)
+	s := tinyScanner(t, ScanOptions{Workers: 1, Explain: true}, features.Options{NGramDims: 256})
 	inputs := scanInputs(24)
 	_, stats := s.ScanBatch(inputs)
 
@@ -67,8 +77,8 @@ func TestScanStageBreakdown(t *testing.T) {
 }
 
 func TestScanStagesSkipAfterParseFailure(t *testing.T) {
-	swapOutObs(t)
-	s := tinyScanner(t, ScanOptions{Workers: 1, StageStats: true}, features.Options{NGramDims: 128})
+	swapInObs(t)
+	s := tinyScanner(t, ScanOptions{Workers: 1}, features.Options{NGramDims: 128})
 	inputs := []Input{
 		{Path: "ok.js", Source: "var x = 1;"},
 		{Path: "broken.js", Source: "function ("},
@@ -97,7 +107,7 @@ func TestScanStagesSkipAfterParseFailure(t *testing.T) {
 	}
 }
 
-// TestScanStagesCollectedUnderObs checks the second trigger: an enabled
+// TestScanStagesCollectedUnderObs checks the trigger: an enabled
 // process-wide registry turns stage collection on and receives the per-file
 // histograms.
 func TestScanStagesCollectedUnderObs(t *testing.T) {

@@ -3,6 +3,7 @@ package features
 import (
 	"testing"
 
+	"repro/internal/flow"
 	"repro/internal/js/parser"
 )
 
@@ -56,8 +57,8 @@ func TestNGramFeaturesZeroAlloc(t *testing.T) {
 
 // TestCollectStatsSingleAlloc locks the stats walk to the one unavoidable
 // allocation pattern: the returned *stats and its builtins map. Everything
-// else (child slices, closures, the identifier set, per-level counts) must
-// come from the collector pool.
+// else (child slices, closures, the identifier set, per-level counts, the
+// computed-object marks) must come from the collector pool.
 func TestCollectStatsSingleAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector; the pooled path is race-checked via TestExtractFullDeterministic")
@@ -66,10 +67,11 @@ func TestCollectStatsSingleAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collectStats(res.Program) // warm the pool
+	info := flow.NewSession().Build(res.Program, flow.Options{}).Scopes
+	collectStats(res.Program, info) // warm the pool
 
 	avg := testing.AllocsPerRun(200, func() {
-		collectStats(res.Program)
+		collectStats(res.Program, info)
 	})
 	// *stats + the builtins map header; allow its single bucket too.
 	if avg > 3 {

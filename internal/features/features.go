@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/js/ast"
 	"repro/internal/js/lexer"
 	"repro/internal/js/parser"
-	"repro/internal/js/walker"
 	"repro/internal/obs"
 )
 
@@ -65,8 +63,7 @@ type Vector []float64
 // Extractor extracts feature vectors with a fixed layout.
 type Extractor struct {
 	opts Options
-	// engine and the rule layout are set only when opts.RuleFeatures is on.
-	engine    *analysis.Engine
+	// The rule layout is set only when opts.RuleFeatures is on.
 	ruleNames []string
 	ruleIndex map[string]int
 }
@@ -75,9 +72,8 @@ type Extractor struct {
 func NewExtractor(opts Options) *Extractor {
 	e := &Extractor{opts: opts}
 	if opts.RuleFeatures {
-		e.engine = analysis.Default()
 		e.ruleIndex = make(map[string]int)
-		for i, r := range e.engine.Rules() {
+		for i, r := range analysis.Default().Rules() {
 			id := r.Info().ID
 			e.ruleNames = append(e.ruleNames, "rule_"+strings.ReplaceAll(id, "-", "_"))
 			e.ruleIndex[id] = i
@@ -103,54 +99,49 @@ func (e *Extractor) Names() []string {
 	return append(names, e.ruleNames...)
 }
 
-// Extract parses src and computes its feature vector.
+// Extract parses src and computes its feature vector. The flow graph lives
+// on a pooled flow session for the length of the call, and the rules run
+// here when the layout carries rule features.
 func (e *Extractor) Extract(src string) (Vector, error) {
 	res, err := parser.ParseNoTokens(src)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	return e.ExtractParsed(src, res), nil
+	var vec Vector
+	flow.Use(res.Program, e.FlowOptions(), func(g *flow.Graph) {
+		var diags []analysis.Diagnostic
+		if e.opts.RuleFeatures {
+			diags = analysis.AnalyzeParsed(src, res, g)
+		}
+		vec = e.ExtractFull(src, res, g, diags)
+	})
+	return vec, nil
 }
 
-// Flow builds the flow graph the extractor would use for res, honoring the
-// configured data-flow deadline. Exposed so callers that also need the graph
-// (e.g. core.Detector.Explain) can build it once and share it. The returned
-// graph is self-contained.
-func (e *Extractor) Flow(res *parser.Result) *flow.Graph {
-	return flow.Build(res.Program, flow.Options{DataFlowDeadline: e.opts.DataFlowDeadline})
-}
-
-// FlowSession is Flow with the caller's reusable flow session: the scan
-// worker loop holds one per worker, so graph storage is recycled across
-// files. The returned graph aliases fs's storage and is invalidated by fs's
-// next Build.
+// FlowSession builds the flow graph the extractor uses for res, honoring the
+// configured data-flow deadline, on the caller's reusable flow session. The
+// returned graph aliases fs's storage and is invalidated by fs's next Build.
 func (e *Extractor) FlowSession(fs *flow.Session, res *parser.Result) *flow.Graph {
-	return fs.Build(res.Program, flow.Options{DataFlowDeadline: e.opts.DataFlowDeadline})
+	return fs.Build(res.Program, e.FlowOptions())
 }
 
-// ExtractParsed computes the feature vector from an already-parsed file.
-func (e *Extractor) ExtractParsed(src string, res *parser.Result) Vector {
-	return e.ExtractFull(src, res, nil, nil)
+// FlowOptions returns the options the extractor's flow graphs are built
+// with.
+func (e *Extractor) FlowOptions() flow.Options {
+	return flow.Options{DataFlowDeadline: e.opts.DataFlowDeadline}
 }
 
-// ExtractFull computes the feature vector, reusing an already-built flow
-// graph and/or already-computed diagnostics when the caller has them (both
-// may be nil, in which case they are built here as needed).
+// ExtractFull computes the feature vector of a parsed file from its flow
+// graph g and the caller's rule diagnostics. It computes neither itself:
+// diags feed the rule block when the layout has one, and nil means the
+// rules found nothing.
 func (e *Extractor) ExtractFull(src string, res *parser.Result, g *flow.Graph, diags []analysis.Diagnostic) Vector {
 	defer obs.Time("features.extract")()
 	obs.Add("features.vectors", 1)
 	vec := make(Vector, e.Dim())
 	e.ngramFeatures(res, vec[:e.opts.dims()])
-	if g == nil {
-		g = e.Flow(res)
-	}
 	handPicked(src, res, g, vec[e.opts.dims():e.opts.dims()+numHandPicked])
-	if e.engine != nil {
-		if diags == nil {
-			diags = e.engine.Run(&analysis.Context{
-				Src: src, Result: res, Program: res.Program, Graph: g,
-			})
-		}
+	if e.ruleIndex != nil {
 		ruleBlock := vec[e.opts.dims()+numHandPicked:]
 		for _, d := range diags {
 			if i, ok := e.ruleIndex[d.Rule]; ok {
@@ -167,26 +158,17 @@ func (e *Extractor) ExtractFull(src string, res *parser.Result, g *flow.Graph, d
 //
 // This is the hottest loop of the extraction stage, so it is written to not
 // allocate: the pre-order kind stream comes straight from the parser's
-// NodeID-stamping walk (Result.Kinds) when available — zero re-traversal —
-// with a pooled walk as the fallback for hand-built Results. Each window's
+// NodeID-stamping walk (Result.Kinds) — zero re-traversal. Each window's
 // FNV-1a hash is computed by an inlined byte loop over the precomputed
 // per-kind byte table. The bucket assignment is bit-identical to hashing
 // the Type() strings with hash/fnv (each node contributes its type name
 // followed by a 0 separator) — golden_test.go locks this, because every
 // trained model's fingerprint depends on the bucket layout staying
-// byte-stable; the stamper and the fallback walk share ast.EachChild, so
-// the two streams are identical (TestKindStreamMatchesWalk).
+// byte-stable.
 //
 //jslint:hotpath
 func (e *Extractor) ngramFeatures(res *parser.Result, out []float64) {
 	seq := res.Kinds
-	var w *kindWalker
-	if seq == nil {
-		w = kindWalkerPool.Get().(*kindWalker)
-		w.seq = w.seq[:0]
-		w.visitNode(res.Program)
-		seq = w.seq
-	}
 	n := e.opts.ngramLen()
 	total := 0
 	for i := 0; i+n <= len(seq); i++ {
@@ -203,11 +185,6 @@ func (e *Extractor) ngramFeatures(res *parser.Result, out []float64) {
 		for i := range out {
 			out[i] /= float64(total)
 		}
-	}
-	// No defer: the non-panicking hot path returns the buffer by hand to
-	// keep the function allocation-free (a deferred closure would escape).
-	if w != nil {
-		kindWalkerPool.Put(w)
 	}
 }
 
@@ -227,34 +204,6 @@ var kindHashBytes = func() [ast.KindCount][]byte {
 	}
 	return tbl
 }()
-
-// kindWalker accumulates a program's pre-order kind sequence. The visit
-// field holds visitNode as a method value bound once per instance (in the
-// pool's cold New path) so the recursive walk allocates nothing; instances
-// recycle through kindWalkerPool across files within a scan worker, so a
-// warmed pool extracts n-grams with zero allocations per file (asserted by
-// TestNGramFeaturesZeroAlloc and proven construct-by-construct by the jslint
-// hotpath-noalloc analyzer).
-type kindWalker struct {
-	seq   []uint16
-	visit func(ast.Node)
-}
-
-// visitNode records n's interned kind and recurses. The recursive step passes
-// the pre-bound w.visit field, not the visitNode method itself: a method
-// value in argument position would allocate its bound closure on every node.
-//
-//jslint:hotpath
-func (w *kindWalker) visitNode(n ast.Node) {
-	w.seq = append(w.seq, uint16(n.NodeKind()))
-	ast.EachChild(n, w.visit)
-}
-
-var kindWalkerPool = sync.Pool{New: func() any {
-	w := &kindWalker{seq: make([]uint16, 0, 4096)}
-	w.visit = w.visitNode
-	return w
-}}
 
 // ---------------------------------------------------------------------------
 // Hand-picked features
@@ -338,7 +287,7 @@ func handPicked(src string, res *parser.Result, g *flow.Graph, out []float64) {
 		bytes = 1
 	}
 
-	st := collectStats(prog)
+	st := collectStats(prog, g.Scopes)
 
 	set("ast_depth_per_line", float64(st.depth)/float64(lines))
 	set("ast_breadth_per_line", float64(st.breadth)/float64(lines))
@@ -375,7 +324,7 @@ func handPicked(src string, res *parser.Result, g *flow.Graph, out []float64) {
 	if st.arrayCount > 0 {
 		set("avg_array_size", capAt(float64(st.arrayElems)/float64(st.arrayCount)/50, 1))
 	}
-	set("prop_vars_fetched_from_arrays", arrayFetchRatio(g))
+	set("prop_vars_fetched_from_arrays", st.fetchedFromArrays)
 	set("comment_char_ratio", commentRatio(res.Comments, bytes))
 	set("whitespace_ratio", whitespaceRatio(src))
 	set("newline_per_byte", float64(strings.Count(src, "\n"))/float64(bytes))
@@ -449,40 +398,4 @@ func whitespaceRatio(src string) float64 { return analysis.WhitespaceRatio(src) 
 
 func charClassRatios(src string) (alnum, jsfuck float64) {
 	return analysis.CharClassRatios(src)
-}
-
-// arrayFetchRatio uses the data flow to estimate the fraction of variables
-// that are fetched from array/dictionary structures: bindings initialized
-// with an array or object literal whose references occur as the object of a
-// computed member access.
-func arrayFetchRatio(g *flow.Graph) float64 {
-	if g.Scopes == nil || len(g.Scopes.Bindings) == 0 {
-		return 0
-	}
-	// Build the set of identifiers appearing as computed-access objects.
-	objects := make(map[*ast.Identifier]bool)
-	walker.Walk(g.Root, func(n ast.Node, _ int) bool {
-		if m, ok := n.(*ast.MemberExpression); ok && m.Computed {
-			if id, ok := m.Object.(*ast.Identifier); ok {
-				objects[id] = true
-			}
-		}
-		return true
-	})
-	fetched, total := 0, 0
-	for _, b := range g.Scopes.Bindings {
-		total++
-		switch b.Init.(type) {
-		case *ast.ArrayExpression, *ast.ObjectExpression:
-		default:
-			continue
-		}
-		for _, ref := range b.Refs {
-			if objects[ref] {
-				fetched++
-				break
-			}
-		}
-	}
-	return float64(fetched) / float64(total)
 }

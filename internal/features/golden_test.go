@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/corpus"
+	"repro/internal/flow"
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
 	"repro/internal/js/walker"
@@ -91,19 +93,26 @@ func TestNGramGoldenVectors(t *testing.T) {
 
 // TestExtractFullDeterministic locks the whole vector, not just the n-gram
 // block: two independent extractors (pooled scratch and all) must produce
-// bit-identical ExtractFull output for every fixture and layout.
+// bit-identical output for every fixture and layout — one through
+// ExtractFull over the caller's graph and diagnostics (the scanner's path),
+// the other through Extract's pooled flow session and its own rules run.
 func TestExtractFullDeterministic(t *testing.T) {
 	files := goldenFixtures(t)
 	for _, ruleFeatures := range []bool{false, true} {
 		a := NewExtractor(Options{NGramDims: 256, RuleFeatures: ruleFeatures})
 		b := NewExtractor(Options{NGramDims: 256, RuleFeatures: ruleFeatures})
+		fs := flow.NewSession()
 		for _, f := range files {
 			res, err := parser.ParseNoTokens(f.Source)
 			if err != nil {
 				t.Fatalf("%s: parse: %v", f.Name, err)
 			}
-			va := a.ExtractFull(f.Source, res, nil, nil)
-			vb := b.ExtractFull(f.Source, res, nil, nil)
+			g := fs.Build(res.Program, flow.Options{})
+			va := a.ExtractFull(f.Source, res, g, analysis.AnalyzeParsed(f.Source, res, g))
+			vb, err := b.Extract(f.Source)
+			if err != nil {
+				t.Fatalf("%s: extract: %v", f.Name, err)
+			}
 			if len(va) != a.Dim() || len(vb) != len(va) {
 				t.Fatalf("%s: vector length %d/%d, want %d", f.Name, len(va), len(vb), a.Dim())
 			}
@@ -114,5 +123,66 @@ func TestExtractFullDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refArrayFetchRatio is the original two-walk prop_vars_fetched_from_arrays:
+// a separate walk collects the computed-access object identifiers into a
+// pointer set, then the bindings are checked against it. The stats walk's
+// NodeID marks must reproduce it bit for bit.
+func refArrayFetchRatio(g *flow.Graph) float64 {
+	if g.Scopes == nil || len(g.Scopes.Bindings) == 0 {
+		return 0
+	}
+	objects := make(map[*ast.Identifier]bool)
+	walker.Walk(g.Root, func(n ast.Node, _ int) bool {
+		if m, ok := n.(*ast.MemberExpression); ok && m.Computed {
+			if id, ok := m.Object.(*ast.Identifier); ok {
+				objects[id] = true
+			}
+		}
+		return true
+	})
+	fetched, total := 0, 0
+	for _, b := range g.Scopes.Bindings {
+		total++
+		switch b.Init.(type) {
+		case *ast.ArrayExpression, *ast.ObjectExpression:
+		default:
+			continue
+		}
+		for _, ref := range b.Refs {
+			if objects[ref] {
+				fetched++
+				break
+			}
+		}
+	}
+	return float64(fetched) / float64(total)
+}
+
+// TestArrayFetchRatioGolden pins the folded prop_vars_fetched_from_arrays
+// against the reference over every fixture, with data flow and without.
+func TestArrayFetchRatioGolden(t *testing.T) {
+	fs := flow.NewSession()
+	nonzero := 0
+	for _, f := range goldenFixtures(t) {
+		res, err := parser.ParseNoTokens(f.Source)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", f.Name, err)
+		}
+		for _, skip := range []bool{false, true} {
+			g := fs.Build(res.Program, flow.Options{SkipDataFlow: skip})
+			got := collectStats(res.Program, g.Scopes).fetchedFromArrays
+			if want := refArrayFetchRatio(g); got != want {
+				t.Fatalf("%s (skip=%v): fetched-from-arrays %v, reference %v", f.Name, skip, got, want)
+			}
+			if got != 0 {
+				nonzero++
+			}
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("no fixture exercises a nonzero fetched-from-arrays ratio")
 	}
 }

@@ -3,13 +3,14 @@ package features
 import (
 	"testing"
 
+	"repro/internal/js/ast"
 	"repro/internal/js/parser"
 )
 
 // TestKindStreamMatchesWalk locks the contract the zero-walk n-gram path
 // rests on: the parser's NodeID-stamping pass records exactly the pre-order
-// kind stream the pooled kindWalker would produce. Both sides descend via
-// ast.EachChild, so any divergence means a child-order bug in one of them.
+// kind stream of an ast.EachChild walk, so any divergence means a
+// child-order bug in the stamper.
 func TestKindStreamMatchesWalk(t *testing.T) {
 	files := goldenFixtures(t)
 	for _, f := range files {
@@ -20,42 +21,21 @@ func TestKindStreamMatchesWalk(t *testing.T) {
 		if res.Kinds == nil {
 			t.Fatalf("%s: parser did not record a kind stream", f.Name)
 		}
-		w := kindWalkerPool.Get().(*kindWalker)
-		w.seq = w.seq[:0]
-		w.visitNode(res.Program)
-		if len(res.Kinds) != len(w.seq) {
+		var seq []uint16
+		var visit func(ast.Node)
+		visit = func(n ast.Node) {
+			seq = append(seq, uint16(n.NodeKind()))
+			ast.EachChild(n, visit)
+		}
+		visit(res.Program)
+		if len(res.Kinds) != len(seq) {
 			t.Fatalf("%s: parser stream has %d kinds, walk has %d",
-				f.Name, len(res.Kinds), len(w.seq))
+				f.Name, len(res.Kinds), len(seq))
 		}
-		for i := range w.seq {
-			if res.Kinds[i] != w.seq[i] {
+		for i := range seq {
+			if res.Kinds[i] != seq[i] {
 				t.Fatalf("%s: kind stream diverges at %d: parser %d, walk %d",
-					f.Name, i, res.Kinds[i], w.seq[i])
-			}
-		}
-	}
-}
-
-// TestNGramFallbackWalkIdentical checks the walk fallback (Results built
-// without a parser kind stream) produces bit-identical vectors to the
-// zero-walk path.
-func TestNGramFallbackWalkIdentical(t *testing.T) {
-	files := goldenFixtures(t)
-	e := NewExtractor(Options{NGramDims: 256})
-	for _, f := range files {
-		res, err := parser.ParseNoTokens(f.Source)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", f.Name, err)
-		}
-		fast := make([]float64, e.opts.dims())
-		e.ngramFeatures(res, fast)
-		res.Kinds = nil
-		slow := make([]float64, e.opts.dims())
-		e.ngramFeatures(res, slow)
-		for i := range fast {
-			if fast[i] != slow[i] {
-				t.Fatalf("%s: bucket %d = %v via kind stream, %v via walk",
-					f.Name, i, fast[i], slow[i])
+					f.Name, i, res.Kinds[i], seq[i])
 			}
 		}
 	}

@@ -2,11 +2,13 @@ package features
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/js/ast"
+	"repro/internal/js/scope"
 )
 
 // stats aggregates the raw AST counts the hand-picked features are computed
@@ -54,6 +56,11 @@ type stats struct {
 	maxExprNesting  int
 	largestStrArray int
 
+	// fetchedFromArrays is the prop_vars_fetched_from_arrays feature: the
+	// share of bindings initialized with an array or object literal that
+	// some reference reads as the object of a computed member access.
+	fetchedFromArrays float64
+
 	builtins map[string]bool
 }
 
@@ -72,7 +79,8 @@ var builtinNames = map[string]bool{
 }
 
 // statsCollector holds the reusable scratch state of one collectStats run:
-// the seen-identifier set, the per-depth node counts, and the walk cursor.
+// the seen-identifier set, the per-depth node counts, the computed-object
+// marks, and the walk cursor.
 // Instances recycle through statsCollectorPool so the per-file cost is one
 // allocation for the returned stats value; the traversal itself runs over
 // ast.EachChild with a visit closure bound once per instance, so it neither
@@ -81,6 +89,9 @@ type statsCollector struct {
 	st          *stats
 	names       map[string]bool
 	levelCounts []int
+	// computedObj marks, by NodeID, the identifiers that appear as the
+	// object of a computed member access (arr[i]).
+	computedObj []bool
 	depth       int
 	exprNesting int
 	visit       func(ast.Node)
@@ -95,12 +106,18 @@ var statsCollectorPool = sync.Pool{New: func() any {
 	return c
 }}
 
-func collectStats(prog *ast.Program) *stats {
+// collectStats tallies prog in one walk. info is the flow graph's scope
+// result (nil when data flow was skipped); its bindings are read against the
+// walk's computed-object marks, which index the tree's stamped NodeIDs.
+func collectStats(prog *ast.Program, info *scope.Info) *stats {
 	c := statsCollectorPool.Get().(*statsCollector)
 	st := &stats{builtins: make(map[string]bool)}
 	c.st = st
 	c.depth = 0
 	c.exprNesting = 0
+	// slices.Grow keeps append's amortized growth, so a worker's run of
+	// ever-larger files does not reallocate the marks once per file.
+	c.computedObj = slices.Grow(c.computedObj[:0], int(prog.NodeCount))[:prog.NodeCount]
 	c.visit(prog)
 
 	st.uniqueIdents = len(c.names)
@@ -109,8 +126,10 @@ func collectStats(prog *ast.Program) *stats {
 			st.breadth = cnt
 		}
 	}
+	st.fetchedFromArrays = c.arrayFetchRatio(info)
 
 	clear(c.names)
+	clear(c.computedObj)
 	for i := range c.levelCounts {
 		c.levelCounts[i] = 0
 	}
@@ -118,6 +137,38 @@ func collectStats(prog *ast.Program) *stats {
 	c.st = nil
 	statsCollectorPool.Put(c)
 	return st
+}
+
+// arrayFetchRatio estimates, from the data flow, the fraction of variables
+// fetched from array/dictionary structures: bindings initialized with an
+// array or object literal whose references occur as the object of a
+// computed member access.
+func (c *statsCollector) arrayFetchRatio(info *scope.Info) float64 {
+	if info == nil || len(info.Bindings) == 0 {
+		return 0
+	}
+	fetched := 0
+	for _, b := range info.Bindings {
+		switch b.Init.(type) {
+		case *ast.ArrayExpression, *ast.ObjectExpression:
+		default:
+			continue
+		}
+		for _, ref := range b.Refs {
+			if c.isComputedObj(ref) {
+				fetched++
+				break
+			}
+		}
+	}
+	return float64(fetched) / float64(len(info.Bindings))
+}
+
+// isComputedObj reports whether the walk marked id. Slot 0 is the Program
+// root's, so an unstamped identifier never reads as marked.
+func (c *statsCollector) isComputedObj(id *ast.Identifier) bool {
+	nid := int(id.NodeID())
+	return nid > 0 && nid < len(c.computedObj) && c.computedObj[nid]
 }
 
 // visitNode tallies one node into the run's stats and recurses through the
@@ -226,6 +277,11 @@ func (c *statsCollector) visitNode(n ast.Node) {
 		st.memberCount++
 		if v.Computed {
 			st.bracketMember++
+			if id, ok := v.Object.(*ast.Identifier); ok {
+				if nid := int(id.NodeID()); nid < len(c.computedObj) {
+					c.computedObj[nid] = true
+				}
+			}
 		}
 		if id, ok := v.Property.(*ast.Identifier); ok && !v.Computed && id.Name == "constructor" {
 			st.functionCtor++

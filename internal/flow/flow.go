@@ -10,9 +10,12 @@
 // Construction is one fused traversal: scope.Session.AnalyzeFlow emits the
 // control edges while it resolves scopes (what used to be two walks), and
 // the data edges are then read straight off the binding list. A Session
-// draws all edge and scope storage from per-session pools; the package-
-// level Build wraps a pooled Session and detaches the result, so one-shot
-// callers still get a self-contained Graph.
+// draws all edge and scope storage from per-session pools.
+//
+// Ownership: a Graph, and the scope.Info inside it, is valid only inside
+// the session that built it — until that Session's next Build. Long-lived
+// callers (scan workers) hold a Session; one-shot callers borrow a pooled
+// one for the length of a callback through Use.
 package flow
 
 import (
@@ -43,23 +46,6 @@ type Graph struct {
 	DataFlowTimedOut bool
 }
 
-// Detach deep-copies a session-backed Graph into self-contained storage
-// (edges copied, scope info detached). AST node pointers are shared, as
-// ever — the nodes belong to the parser.Result.
-func (g *Graph) Detach() *Graph {
-	out := &Graph{Root: g.Root, DataFlowTimedOut: g.DataFlowTimedOut}
-	if g.Control != nil {
-		out.Control = append([]Edge(nil), g.Control...)
-	}
-	if g.Data != nil {
-		out.Data = append([]Edge(nil), g.Data...)
-	}
-	if g.Scopes != nil {
-		out.Scopes = g.Scopes.Detach()
-	}
-	return out
-}
-
 // Options configures graph construction.
 type Options struct {
 	// DataFlowDeadline bounds data-flow construction; zero means the
@@ -84,8 +70,7 @@ const dataFlowCheckEvery = 4096
 //
 // Ownership contract (mirroring parser.Session): the Graph returned by
 // Build aliases session storage and is valid only until the next Build on
-// the same Session. Use Graph.Detach (or the package-level Build) for a
-// self-contained copy. Sessions are not safe for concurrent use.
+// the same Session. Sessions are not safe for concurrent use.
 type Session struct {
 	sc   *scope.Session
 	data []Edge
@@ -100,8 +85,8 @@ func NewSession() *Session {
 // Build constructs the enhanced graph for a program, reusing the session's
 // pooled storage. It trusts the parser's NodeID stamping (stamping only
 // unstamped trees); a tree mutated after stamping must be re-stamped first
-// (see DESIGN.md "Dense node plane"). The result is invalidated by the
-// next Build on the same Session.
+// (see DESIGN.md "Sessions own the storage"). The result is invalidated by
+// the next Build on the same Session.
 func (s *Session) Build(prog *ast.Program, opts Options) *Graph {
 	defer obs.Time("flow.build")()
 	deadline := opts.DataFlowDeadline
@@ -149,17 +134,17 @@ func (s *Session) Build(prog *ast.Program, opts Options) *Graph {
 	return g
 }
 
-// sessions recycles flow sessions for the package-level Build, so one-shot
-// callers amortize warm-up and still receive self-contained graphs.
+// sessions recycles flow sessions for Use, so one-shot callers amortize
+// warm-up instead of building a fresh session per file.
 var sessions = sync.Pool{New: func() any { return NewSession() }}
 
-// Build constructs the enhanced graph for a program. The returned Graph is
-// self-contained; callers that build many graphs should hold a Session.
-func Build(prog *ast.Program, opts Options) *Graph {
+// Use builds the graph for prog on a session borrowed from the package pool
+// and passes it to fn. The graph, and everything reached through it, is
+// valid only until fn returns: the session goes back to the pool then.
+func Use(prog *ast.Program, opts Options, fn func(*Graph)) {
 	s := sessions.Get().(*Session)
-	g := s.Build(prog, opts).Detach()
+	fn(s.Build(prog, opts))
 	sessions.Put(s)
-	return g
 }
 
 // flushStats records one built graph into the obs registry (no-ops when

@@ -14,7 +14,7 @@ func build(t *testing.T, src string) *Graph {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return Build(prog, Options{})
+	return NewSession().Build(prog, Options{})
 }
 
 func TestSequentialControlFlow(t *testing.T) {
@@ -128,7 +128,7 @@ func TestSkipDataFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := Build(prog, Options{SkipDataFlow: true})
+	g := NewSession().Build(prog, Options{SkipDataFlow: true})
 	if len(g.Data) != 0 {
 		t.Fatal("SkipDataFlow must omit data edges")
 	}
@@ -143,7 +143,7 @@ func TestDataFlowDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A generous deadline must not trigger the fallback.
-	g := Build(prog, Options{DataFlowDeadline: time.Minute})
+	g := NewSession().Build(prog, Options{DataFlowDeadline: time.Minute})
 	if g.DataFlowTimedOut {
 		t.Fatal("deadline must not fire on a tiny file")
 	}

@@ -14,8 +14,7 @@ import (
 
 // Session-poisoning tests: a reused session must behave exactly like a
 // fresh one, no matter what the previous Build did (completed, skipped data
-// flow, or timed out), and a detached graph must survive the session moving
-// on. These mirror the parser session's poisoning suite — the flow session
+// flow, or timed out). These mirror the parser session's poisoning suite — the flow session
 // recycles even more state (scope slabs, ref stores, edge buffers), so the
 // hard-reset contract is load-bearing.
 
@@ -53,14 +52,14 @@ func graphsEquivalent(t *testing.T, label string, got, want *Graph) {
 
 // TestSessionReuseMatchesFresh builds a sequence of different files through
 // one session; each result must match a fresh session's build of the same
-// file.
+// file, compared before the reused session's next Build invalidates it.
 func TestSessionReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	files := corpus.RegularSet(4, rng)
 	s := NewSession()
 	for i, f := range files {
 		res := parseT(t, f.Source)
-		got := s.Build(res.Program, Options{}).Detach()
+		got := s.Build(res.Program, Options{})
 		want := NewSession().Build(res.Program, Options{})
 		graphsEquivalent(t, fmt.Sprintf("%s#%d", f.Name, i), got, want)
 	}
@@ -101,37 +100,6 @@ func TestSessionReuseAfterSkipDataFlow(t *testing.T) {
 	got := s.Build(resB.Program, Options{})
 	want := NewSession().Build(resB.Program, Options{})
 	graphsEquivalent(t, "after-skip", got, want)
-}
-
-// TestDetachOutlivesSession pins the escape hatch: a detached graph stays
-// intact (edges, scopes, resolution table) while the session that built it
-// churns through other files.
-func TestDetachOutlivesSession(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	files := corpus.RegularSet(3, rng)
-	s := NewSession()
-	resA := parseT(t, files[0].Source)
-	detached := s.Build(resA.Program, Options{}).Detach()
-	want := NewSession().Build(resA.Program, Options{})
-
-	// Churn the session: its internal storage is overwritten per build.
-	for _, f := range files[1:] {
-		s.Build(parseT(t, f.Source).Program, Options{})
-	}
-
-	graphsEquivalent(t, "detached", detached, want)
-	checkGraphInvariants(t, detached, resA.Program, "detached")
-	for i, b := range want.Scopes.Bindings {
-		db := detached.Scopes.Bindings[i]
-		if db.Name != b.Name || db.Decl != b.Decl || len(db.Refs) != len(b.Refs) {
-			t.Fatalf("detached binding %d (%q) diverged after session reuse", i, b.Name)
-		}
-		for _, ref := range db.Refs {
-			if got := detached.Scopes.BindingOf(ref); got == nil || got.Name != b.Name {
-				t.Fatalf("detached BindingOf(%q ref) = %v after session reuse", b.Name, got)
-			}
-		}
-	}
 }
 
 // TestDeadlineBurstSkipRegression pins the deadline-sampling fix. The old
@@ -176,5 +144,54 @@ func TestFlowMetricNamesInManifest(t *testing.T) {
 		if !obs.KnownMetric(name) {
 			t.Errorf("flow records %q but the manifest does not know it", name)
 		}
+	}
+}
+
+// TestUseMatchesFresh checks the pooled one-shot entry point: the graph Use
+// lends to its callback matches a fresh session's, including when the
+// borrowed session was warmed by an earlier, different file.
+func TestUseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for i, f := range corpus.RegularSet(3, rng) {
+		res := parseT(t, f.Source)
+		want := NewSession().Build(res.Program, Options{})
+		Use(res.Program, Options{}, func(got *Graph) {
+			graphsEquivalent(t, fmt.Sprintf("%s#%d", f.Name, i), got, want)
+			checkGraphInvariants(t, got, res.Program, f.Name)
+		})
+	}
+}
+
+// TestFlowMetricsRecorded checks each Build records its graph into an
+// enabled obs registry: edge and binding counts match the graph, and a
+// deadline hit is counted. The source carries more references than one
+// deadline-check interval, so the in-loop check runs (and passes) too.
+func TestFlowMetricsRecorded(t *testing.T) {
+	reg := obs.NewRegistry()
+	prev := obs.Swap(reg)
+	defer obs.Swap(prev)
+
+	src := "var v = 1;" + strings.Repeat(" v;", dataFlowCheckEvery+1)
+	res := parseT(t, src)
+	s := NewSession()
+	g := s.Build(res.Program, Options{})
+	if g.DataFlowTimedOut || len(g.Data) != dataFlowCheckEvery+1 {
+		t.Fatalf("timed out %v with %d data edges, want %d", g.DataFlowTimedOut, len(g.Data), dataFlowCheckEvery+1)
+	}
+	for name, want := range map[string]int{
+		"flow.graphs":         1,
+		"flow.walk.fused":     1,
+		"flow.control_edges":  len(g.Control),
+		"flow.data_edges":     len(g.Data),
+		"flow.scope.bindings": len(g.Scopes.Bindings),
+	} {
+		if got := reg.Counter(name).Value(); got != int64(want) {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+
+	s.Build(res.Program, Options{DataFlowDeadline: time.Nanosecond})
+	if got := reg.Counter("flow.dataflow_timeouts").Value(); got != 1 {
+		t.Errorf("flow.dataflow_timeouts = %d after one expired deadline, want 1", got)
 	}
 }

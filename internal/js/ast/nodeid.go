@@ -12,7 +12,7 @@ package ast
 // an Identifier, which lets lookups treat unstamped nodes as "absent"
 // without a sentinel check. Mutating a stamped tree invalidates density and
 // pre-order; re-stamp before trusting IDs again (ownership rules: DESIGN.md
-// "Dense node plane").
+// "Sessions own the storage").
 type NodeID uint32
 
 // IDStamper walks a tree assigning dense pre-order NodeIDs, optionally

@@ -15,9 +15,10 @@
 // executable spec in internal/js/scope/refspec, and differential tests
 // assert both produce identical binding/reference/edge sets.
 //
-// Ownership: Analyze returns a self-contained Info. Session.Analyze returns
-// an Info backed by pooled session storage that is invalidated by the next
-// call on the same Session; use Detach to copy such an Info out.
+// Ownership: Analyze returns a self-contained Info (its fresh session's
+// storage becomes the Info's). Session.Analyze and Session.AnalyzeFlow
+// return an Info backed by pooled session storage that is valid only until
+// the next call on the same Session; callers consume it before then.
 package scope
 
 import (
@@ -49,7 +50,7 @@ type Binding struct {
 	Scope *Scope
 	// Refs are all identifier nodes that reference this binding (reads and
 	// writes), excluding the declaration itself. For session-backed Info
-	// the slice aliases pooled storage; Detach copies it out.
+	// the slice aliases pooled storage.
 	Refs []*ast.Identifier
 	// Init is the initializer expression when the binding came from a
 	// declarator with one (used by features: e.g. "fetched from a global
@@ -59,9 +60,6 @@ type Binding struct {
 	// refLen counts refs during the walk; finalizeRefs carves Refs from the
 	// shared store with it. After analysis it equals len(Refs).
 	refLen int32
-	// idx is the binding's position in Info.Bindings, used by Detach to
-	// remap pointers into the copied storage.
-	idx int32
 }
 
 // Scope is one lexical scope.
@@ -82,9 +80,6 @@ type Scope struct {
 	bindings []*Binding
 	// byName, when non-nil, indexes every binding in bindings.
 	byName map[string]*Binding
-	// idx is the scope's position in the creation-order scope list, used by
-	// Detach to remap pointers.
-	idx int32
 }
 
 // scopePromoteAt is the own-binding count above which a scope switches from
@@ -180,9 +175,6 @@ type Info struct {
 	// Slot 0 belongs to the Program root and stays nil, so identifiers from
 	// an unstamped (foreign) tree resolve to nil rather than misresolving.
 	resolved []*Binding
-	// scopes lists every scope in creation order (Global first); Detach
-	// uses it to copy the scope tree in one pass.
-	scopes []*Scope
 }
 
 // BindingOf returns the binding a reference resolves to, or nil. The lookup
@@ -206,87 +198,4 @@ func Analyze(prog *ast.Program) *Info {
 	// A fresh session per call: the session's storage becomes the result's
 	// storage, so nothing is pooled and the Info owns what it points to.
 	return NewSession().Analyze(prog)
-}
-
-// Detach deep-copies a session-backed Info into self-contained storage. The
-// copy shares nothing with the session pools (AST node pointers are shared,
-// as ever — the nodes belong to the parser.Result). Scope/Binding identity
-// is remapped, so pointer comparisons against the original's objects do not
-// carry over.
-func (i *Info) Detach() *Info {
-	scopes := make([]Scope, len(i.scopes))
-	bindings := make([]Binding, len(i.Bindings))
-
-	// Shared backing stores sized exactly: every binding sits in exactly one
-	// scope table, every child edge in one Children list.
-	totalChildren := 0
-	for _, s := range i.scopes {
-		totalChildren += len(s.Children)
-	}
-	childStore := make([]*Scope, 0, totalChildren)
-	tableStore := make([]*Binding, 0, len(i.Bindings))
-
-	for k, s := range i.scopes {
-		ns := &scopes[k]
-		ns.Node = s.Node
-		ns.IsFunction = s.IsFunction
-		ns.idx = int32(k)
-		if s.Parent != nil {
-			ns.Parent = &scopes[s.Parent.idx]
-		}
-		start := len(childStore)
-		for _, c := range s.Children {
-			childStore = append(childStore, &scopes[c.idx])
-		}
-		ns.Children = childStore[start:len(childStore):len(childStore)]
-		start = len(tableStore)
-		for _, b := range s.bindings {
-			tableStore = append(tableStore, &bindings[b.idx])
-		}
-		ns.bindings = tableStore[start:len(tableStore):len(tableStore)]
-		// byName stays nil: detached scopes fall back to linear scan.
-	}
-
-	totalRefs := 0
-	for _, b := range i.Bindings {
-		totalRefs += len(b.Refs)
-	}
-	refStore := make([]*ast.Identifier, 0, totalRefs)
-	outBindings := make([]*Binding, len(i.Bindings))
-	for k, b := range i.Bindings {
-		nb := &bindings[k]
-		nb.Name, nb.Decl, nb.Kind, nb.Init = b.Name, b.Decl, b.Kind, b.Init
-		nb.refLen = b.refLen
-		nb.idx = int32(k)
-		if b.Scope != nil {
-			nb.Scope = &scopes[b.Scope.idx]
-		}
-		start := len(refStore)
-		refStore = append(refStore, b.Refs...)
-		nb.Refs = refStore[start:len(refStore):len(refStore)]
-		outBindings[k] = nb
-	}
-
-	resolved := make([]*Binding, len(i.resolved))
-	for k, b := range i.resolved {
-		if b != nil {
-			resolved[k] = &bindings[b.idx]
-		}
-	}
-
-	scopeList := make([]*Scope, len(scopes))
-	for k := range scopes {
-		scopeList[k] = &scopes[k]
-	}
-
-	out := &Info{
-		Unresolved: append([]*ast.Identifier(nil), i.Unresolved...),
-		Bindings:   outBindings,
-		resolved:   resolved,
-		scopes:     scopeList,
-	}
-	if i.Global != nil {
-		out.Global = &scopes[i.Global.idx]
-	}
-	return out
 }

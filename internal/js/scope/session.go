@@ -13,9 +13,8 @@ import (
 // Hard reset contract (mirroring parser.Session): reset re-arms every slab
 // and buffer before a run, and the Info returned by Analyze/AnalyzeFlow
 // aliases that storage — it is valid only until the next call on the same
-// Session. Copy with Info.Detach to keep results longer. The zero value is
-// NOT ready to use; call NewSession. Sessions are not safe for concurrent
-// use.
+// Session. The zero value is NOT ready to use; call NewSession. Sessions are
+// not safe for concurrent use.
 type Session struct {
 	a analyzer
 }
@@ -73,7 +72,6 @@ type analyzer struct {
 	refStore    []*ast.Identifier
 	unresolved  []*ast.Identifier
 	bindings    []*Binding
-	scopeList   []*Scope
 	control     []Edge
 	scopes      scopeSlab
 	bindingSlab bindingSlab
@@ -106,7 +104,6 @@ func (a *analyzer) run(prog *ast.Program, collectControl bool) *Info {
 	info.Bindings = a.bindings
 	info.Unresolved = a.unresolved
 	info.resolved = a.resolved
-	info.scopes = a.scopeList
 	a.sc = nil
 	a.info = nil
 	return info
@@ -128,20 +125,16 @@ func (a *analyzer) reset(n int) {
 	a.refPairs = a.refPairs[:0]
 	a.unresolved = a.unresolved[:0]
 	a.bindings = a.bindings[:0]
-	a.scopeList = a.scopeList[:0]
 	a.control = a.control[:0]
 	a.scopes.reset()
 	a.bindingSlab.reset()
 }
 
-// newScope allocates a scope from the slab and registers it in creation
-// order.
+// newScope allocates a scope from the slab.
 func (a *analyzer) newScope(node ast.Node, isFunc bool) *Scope {
 	sc := a.scopes.alloc()
 	sc.Node = node
 	sc.IsFunction = isFunc
-	sc.idx = int32(len(a.scopeList))
-	a.scopeList = append(a.scopeList, sc)
 	return sc
 }
 
@@ -176,7 +169,6 @@ func (a *analyzer) declare(sc *Scope, id *ast.Identifier, kind BindingKind, init
 	b.Kind = kind
 	b.Scope = target
 	b.Init = init
-	b.idx = int32(len(a.bindings))
 	target.insert(b)
 	a.bindings = append(a.bindings, b)
 	return b
@@ -315,7 +307,6 @@ func (s *scopeSlab) reset() {
 			sc.Children = sc.Children[:0]
 			sc.IsFunction = false
 			sc.bindings = sc.bindings[:0]
-			sc.idx = 0
 			if sc.byName != nil {
 				clear(sc.byName)
 			}

@@ -1,5 +1,5 @@
 // Package walker provides AST traversal and rewriting utilities shared by
-// the flow analyses, the feature extractor, and the code transformers.
+// the rules engine, the deobfuscator, and the code transformers.
 package walker
 
 import (
@@ -23,41 +23,6 @@ func walk(n ast.Node, depth int, v Visitor) {
 		return
 	}
 	ast.EachChild(n, func(c ast.Node) { walk(c, depth+1, v) })
-}
-
-// Count returns the number of nodes in the subtree rooted at n.
-func Count(n ast.Node) int {
-	total := 0
-	Walk(n, func(ast.Node, int) bool {
-		total++
-		return true
-	})
-	return total
-}
-
-// MaxDepth returns the depth of the deepest node under n (the root has
-// depth 0).
-func MaxDepth(n ast.Node) int {
-	maxDepth := 0
-	Walk(n, func(_ ast.Node, d int) bool {
-		if d > maxDepth {
-			maxDepth = d
-		}
-		return true
-	})
-	return maxDepth
-}
-
-// Collect returns all nodes under n for which pred is true, in pre-order.
-func Collect(n ast.Node, pred func(ast.Node) bool) []ast.Node {
-	var out []ast.Node
-	Walk(n, func(c ast.Node, _ int) bool {
-		if pred(c) {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
 }
 
 // RewriteFunc maps a node to its replacement. Returning the node unchanged

@@ -1,6 +1,7 @@
 package walker
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/js/ast"
@@ -56,25 +57,37 @@ func TestWalkSkipsChildren(t *testing.T) {
 	}
 }
 
+// TestCountAndMaxDepth checks the depth Walk reports: the root is depth 0
+// and every node is visited once.
 func TestCountAndMaxDepth(t *testing.T) {
 	prog := mustParse(t, `var x = 1;`)
-	if c := Count(prog); c != 5 {
+	count, maxDepth := 0, 0
+	Walk(prog, func(_ ast.Node, d int) bool {
+		count++
+		maxDepth = max(maxDepth, d)
+		return true
+	})
+	if count != 5 {
 		// Program, VariableDeclaration, VariableDeclarator, Identifier, Literal.
-		t.Fatalf("Count = %d, want 5", c)
+		t.Fatalf("visited %d nodes, want 5", count)
 	}
-	if d := MaxDepth(prog); d != 3 {
-		t.Fatalf("MaxDepth = %d, want 3", d)
+	if maxDepth != 3 {
+		t.Fatalf("max depth = %d, want 3", maxDepth)
 	}
 }
 
+// TestCollect checks Walk visits nodes in source pre-order.
 func TestCollect(t *testing.T) {
 	prog := mustParse(t, `a(); b(); var x = c();`)
-	calls := Collect(prog, func(n ast.Node) bool {
-		_, ok := n.(*ast.CallExpression)
-		return ok
+	var callees []string
+	Walk(prog, func(n ast.Node, _ int) bool {
+		if call, ok := n.(*ast.CallExpression); ok {
+			callees = append(callees, call.Callee.(*ast.Identifier).Name)
+		}
+		return true
 	})
-	if len(calls) != 3 {
-		t.Fatalf("collected %d calls", len(calls))
+	if got := strings.Join(callees, ","); got != "a,b,c" {
+		t.Fatalf("collected calls %q, want a,b,c in pre-order", got)
 	}
 }
 

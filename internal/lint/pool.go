@@ -38,7 +38,7 @@ func runPool(pass *Pass) {
 // poolCall is one Get or Put call site on a pool expression.
 type poolCall struct {
 	call     *ast.CallExpr
-	poolExpr string // canonical receiver text, e.g. "kindWalkerPool"
+	poolExpr string // canonical receiver text, e.g. "statsCollectorPool"
 	deferred bool
 	inFunc   ast.Node // nearest enclosing FuncDecl/FuncLit
 }

@@ -145,11 +145,12 @@ func TestNoAlphanumericUsesOnlySixCharacters(t *testing.T) {
 }
 
 func TestDeadCodeInjectionGrowsProgram(t *testing.T) {
+	// The parser's ID stamping counts every node of the tree.
 	progBefore, _ := parser.ParseProgram(sample)
-	before := walker.Count(progBefore)
+	before := progBefore.NodeCount
 	out := applyTechnique(t, DeadCodeInjection, sample)
 	progAfter, _ := parser.ParseProgram(out)
-	if after := walker.Count(progAfter); after <= before {
+	if after := progAfter.NodeCount; after <= before {
 		t.Fatalf("dead code must grow the AST: %d -> %d", before, after)
 	}
 }
