@@ -297,14 +297,15 @@ func Default() *Engine { return defaultEngine }
 
 // Analyze parses src, builds its flow graph, and runs the default rules.
 func Analyze(src string) ([]Diagnostic, error) {
-	res, err := parser.ParseNoTokens(src)
+	var diags []Diagnostic
+	err := parser.Use(src, func(res *parser.Result) {
+		flow.Use(res.Program, flow.Options{}, func(g *flow.Graph) {
+			diags = AnalyzeParsed(src, res, g)
+		})
+	})
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	var diags []Diagnostic
-	flow.Use(res.Program, flow.Options{}, func(g *flow.Graph) {
-		diags = AnalyzeParsed(src, res, g)
-	})
 	return diags, nil
 }
 

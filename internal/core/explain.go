@@ -47,16 +47,17 @@ func (e *Explanation) SupportedLabels() map[string]bool {
 // Explain classifies src and runs the static indicator rules, sharing one
 // parse and one flow graph between the classifier features and the rules.
 func (d *Detector) Explain(src string) (*Explanation, error) {
-	res, err := parser.ParseNoTokens(src)
+	var diags []analysis.Diagnostic
+	var vec features.Vector
+	err := parser.Use(src, func(res *parser.Result) {
+		flow.Use(res.Program, d.extractor.FlowOptions(), func(g *flow.Graph) {
+			diags = analysis.AnalyzeParsed(src, res, g)
+			vec = d.extractor.ExtractFull(src, res, g, diags)
+		})
+	})
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	var diags []analysis.Diagnostic
-	var vec features.Vector
-	flow.Use(res.Program, d.extractor.FlowOptions(), func(g *flow.Graph) {
-		diags = analysis.AnalyzeParsed(src, res, g)
-		vec = d.extractor.ExtractFull(src, res, g, diags)
-	})
 	return &Explanation{
 		Labels:      d.Labels(),
 		Probs:       d.model.PredictProbs(vec),

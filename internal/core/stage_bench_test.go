@@ -47,13 +47,16 @@ func BenchmarkStageLex(b *testing.B) {
 
 func BenchmarkStageParse(b *testing.B) {
 	inputs := benchScanInputs(b)
+	// One session for the whole loop, as each scan worker holds one: its
+	// arena, Result and buffers are reused across every file.
+	ps := parser.NewSession()
 	b.SetBytes(totalBytes(inputs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range inputs {
 			// ParseNoTokens is what the scanner runs; token-collecting
 			// Parse is benchmarked separately in the parser package.
-			if _, err := parser.ParseNoTokens(in.Source); err != nil {
+			if _, err := ps.ParseNoTokens(in.Source); err != nil {
 				b.Fatalf("%s: %v", in.Path, err)
 			}
 		}

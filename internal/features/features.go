@@ -99,22 +99,23 @@ func (e *Extractor) Names() []string {
 	return append(names, e.ruleNames...)
 }
 
-// Extract parses src and computes its feature vector. The flow graph lives
-// on a pooled flow session for the length of the call, and the rules run
-// here when the layout carries rule features.
+// Extract parses src and computes its feature vector. The parse and the
+// flow graph live on pooled sessions for the length of the call, and the
+// rules run here when the layout carries rule features.
 func (e *Extractor) Extract(src string) (Vector, error) {
-	res, err := parser.ParseNoTokens(src)
+	var vec Vector
+	err := parser.Use(src, func(res *parser.Result) {
+		flow.Use(res.Program, e.FlowOptions(), func(g *flow.Graph) {
+			var diags []analysis.Diagnostic
+			if e.opts.RuleFeatures {
+				diags = analysis.AnalyzeParsed(src, res, g)
+			}
+			vec = e.ExtractFull(src, res, g, diags)
+		})
+	})
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	var vec Vector
-	flow.Use(res.Program, e.FlowOptions(), func(g *flow.Graph) {
-		var diags []analysis.Diagnostic
-		if e.opts.RuleFeatures {
-			diags = analysis.AnalyzeParsed(src, res, g)
-		}
-		vec = e.ExtractFull(src, res, g, diags)
-	})
 	return vec, nil
 }
 

@@ -72,3 +72,44 @@ func TestArenaPerKindIsolation(t *testing.T) {
 		t.Fatalf("arena node lost its children")
 	}
 }
+
+// TestArenaResetReusesChunks: after Reset the arena hands out the same
+// slots again, in the same order, each holding exactly the new value, and
+// refilling to the previous size allocates nothing.
+func TestArenaResetReusesChunks(t *testing.T) {
+	var a Arena
+	const n = 3*arenaChunkMax + 5 // spans several full chunks and a partial one
+	first := make([]*Identifier, n)
+	for i := range first {
+		first[i] = a.NewIdentifier(Identifier{Name: "old"})
+		first[i].SetNodeID(NodeID(i + 1))
+		first[i].SetSpan(Span{End: Pos{Offset: 9}})
+	}
+	a.NewLiteral(Literal{Raw: "1"})
+	a.Reset()
+	if got := a.NodeCount(); got != 0 {
+		t.Fatalf("NodeCount after Reset = %d, want 0", got)
+	}
+	for i := range first {
+		id := a.NewIdentifier(Identifier{Name: "new"})
+		if id != first[i] {
+			t.Fatalf("alloc %d after Reset: got a fresh slot, want the retained one", i)
+		}
+		if id.Name != "new" || (id.Span() != Span{}) || id.NodeID() != 0 {
+			t.Fatalf("alloc %d after Reset: stale value %+v", i, *id)
+		}
+	}
+	if got := a.NodeCount(); got != n {
+		t.Fatalf("NodeCount = %d, want %d", got, n)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		a.Reset()
+		for i := 0; i < n; i++ {
+			a.NewIdentifier(Identifier{Name: "x"})
+		}
+		a.NewLiteral(Literal{Raw: "2"})
+	})
+	if allocs != 0 {
+		t.Fatalf("refilling a reset arena allocates %v times, want 0", allocs)
+	}
+}

@@ -39,9 +39,15 @@ func (e *Error) Error() string {
 
 // Result bundles the AST with the lexical information gathered while parsing,
 // which the feature extractor consumes (tokens and comments mirror the
-// Esprima token collection in the paper's pipeline). Every AST node hangs
-// off the arena embedded in the Result, so the whole tree dies with it;
-// nothing may retain node pointers past the Result they came from.
+// Esprima token collection in the paper's pipeline).
+//
+// Ownership: a Result lives in the Session that produced it. Its tree, its
+// Tokens, Kinds and Comments, and the Result struct itself are the
+// session's storage, reused by the session's next parse; the Result is
+// valid only until then. Nothing may retain a node pointer or one of these
+// slices past that point. Callers that keep or mutate trees use the
+// package-level Parse, ParseNoTokens or ParseProgram, whose Results own
+// their storage.
 type Result struct {
 	Program *ast.Program
 	// Tokens holds every lexical unit, in order. It is nil when parsing
@@ -54,62 +60,88 @@ type Result struct {
 	// stamping dense NodeIDs onto the tree (Program.NodeCount is set by the
 	// same walk). The n-gram extractor consumes it directly instead of
 	// re-walking the tree; the stream is bit-identical to a fresh EachChild
-	// pre-order walk. It is owned by the Result.
+	// pre-order walk.
 	Kinds []uint16
 
-	// arena owns the storage of every node reachable from Program. It
-	// lives in the Result (not the reusable parser) so a pooled parser
-	// cannot hand one file's nodes to the next.
+	// arena owns the storage of every node reachable from Program.
 	arena ast.Arena
 }
 
 // Session is a reusable parser. A Session parses one file at a time and
-// recycles its token buffer, lexer state, comment buffer, and arrow-head
-// memo table across parses — a scanner worker that parses many files
-// should hold one Session instead of paying the warm-up allocations per
-// file. The zero value is ready to use; Sessions are not safe for
-// concurrent use.
+// recycles everything across parses: the AST arena, the Result, its kind
+// stream, token and comment buffers, lexer state, and the arrow-head memo
+// table. A scanner worker that parses many files holds one Session and,
+// once warm, parses without allocating node storage. The Result a parse
+// returns is valid until the Session's next parse. The zero value is ready
+// to use; Sessions are not safe for concurrent use.
 type Session struct {
-	p parser
+	p   parser
+	res Result
 }
 
 // NewSession returns an empty parser session.
 func NewSession() *Session { return &Session{} }
 
-// Parse parses JavaScript source text, collecting all tokens.
-func (s *Session) Parse(src string) (*Result, error) { return s.p.parse(src, true, true) }
+// Parse parses JavaScript source text, collecting all tokens. The Result is
+// valid until the Session's next parse.
+func (s *Session) Parse(src string) (*Result, error) { return s.p.parse(&s.res, src, true, true) }
 
 // ParseNoTokens parses without materializing the token slice. The feature
 // pipeline uses it: on megabyte-scale minified or JSFuck inputs, storing
 // every token costs more than parsing itself, and the features only need
-// the token count and the comments.
-func (s *Session) ParseNoTokens(src string) (*Result, error) { return s.p.parse(src, false, true) }
-
-// sessions recycles parser state for the package-level entry points, so
-// one-shot callers still amortize parser warm-up across files.
-var sessions = sync.Pool{New: func() any { return NewSession() }}
-
-// Parse parses JavaScript source text, collecting all tokens.
-func Parse(src string) (*Result, error) {
-	s := sessions.Get().(*Session)
-	defer sessions.Put(s)
-	return s.Parse(src)
+// the token count and the comments. The Result is valid until the
+// Session's next parse.
+func (s *Session) ParseNoTokens(src string) (*Result, error) {
+	return s.p.parse(&s.res, src, false, true)
 }
 
-// ParseNoTokens parses without materializing the token slice; see
-// Session.ParseNoTokens.
-func ParseNoTokens(src string) (*Result, error) {
+// Parse parses JavaScript source text, collecting all tokens, on a session
+// of its own: the Result owns its storage and may be kept and mutated.
+func Parse(src string) (*Result, error) { return NewSession().Parse(src) }
+
+// ParseNoTokens parses without materializing the token slice (see
+// Session.ParseNoTokens) on a session of its own: the Result owns its
+// storage and may be kept and mutated.
+func ParseNoTokens(src string) (*Result, error) { return NewSession().ParseNoTokens(src) }
+
+// ParseProgram parses source on a session of its own and returns only the
+// AST root, which the caller owns (tokens are not materialized, and neither
+// is the kind stream — callers that drop the Result cannot use it).
+func ParseProgram(src string) (*ast.Program, error) {
+	s := NewSession()
+	res, err := s.p.parse(&s.res, src, false, false)
+	if err != nil {
+		return nil, err
+	}
+	return res.Program, nil
+}
+
+// sessions recycles parser sessions for Use, so one-shot callers amortize
+// the arena and buffers across files instead of building them per parse.
+var sessions = sync.Pool{New: func() any { return NewSession() }}
+
+// Use parses src without tokens (as ParseNoTokens) on a session borrowed
+// from the package pool and passes the Result to fn. The Result, and
+// everything reached through it, is valid only until fn returns: the
+// session goes back to the pool then. fn is not called when the parse
+// fails; Use returns the parse error instead.
+func Use(src string, fn func(*Result)) error {
 	s := sessions.Get().(*Session)
 	defer sessions.Put(s)
-	return s.ParseNoTokens(src)
+	res, err := s.ParseNoTokens(src)
+	if err != nil {
+		return err
+	}
+	fn(res)
+	return nil
 }
 
 // reset re-arms the parser for a new file. This is the hard reset contract
-// behind Session reuse: every piece of per-file state is cleared here (the
-// token buffer, memo table, and comment buffer keep their capacity but not
-// their contents), and the arena is never reused — it belongs to the
-// previous Result.
-func (p *parser) reset(src string, collectTokens bool) {
+// behind Session reuse: every piece of per-file state is cleared here. The
+// token buffer, memo table, comment buffer and out's arena keep their
+// capacity but not their contents; a successful parse then sets every
+// field of out, so nothing of the previous file's Result survives.
+func (p *parser) reset(out *Result, src string, collectTokens bool) {
 	p.lex.Reset(src)
 	p.src = src
 	p.tok = lexer.Token{}
@@ -119,14 +151,14 @@ func (p *parser) reset(src string, collectTokens bool) {
 	p.lastEnd_ = ast.Pos{}
 	p.depth = 0
 	clear(p.arrowFail)
-	p.arena = nil
+	out.arena.Reset()
+	p.arena = &out.arena
 }
 
-func (p *parser) parse(src string, collectTokens, collectKinds bool) (res *Result, err error) {
+// parse parses src into out, which the calling Session owns.
+func (p *parser) parse(out *Result, src string, collectTokens, collectKinds bool) (res *Result, err error) {
 	parses.Add(1)
-	p.reset(src, collectTokens)
-	out := &Result{}
-	p.arena = &out.arena
+	p.reset(out, src, collectTokens)
 	if obs.Enabled() {
 		stop := obs.Time("parse.duration")
 		defer func() {
@@ -158,40 +190,30 @@ func (p *parser) parse(src string, collectTokens, collectKinds bool) (res *Resul
 	}
 	out.Program = prog
 	// Stamp dense pre-order NodeIDs and collect the kind stream in the same
-	// walk. The arena's node count pre-sizes the stream exactly, so this is
-	// one traversal and (when the caller keeps the Result, and so can feed
-	// the stream to the feature extractor) one allocation per file;
-	// ParseProgram-style callers that drop the Result skip the allocation
-	// and get the stamping alone.
+	// walk, into the Result's reused kind buffer; the arena's node count
+	// sizes the buffer exactly when it must grow. ParseProgram-style
+	// callers that drop the Result get the stamping alone.
 	if p.stamper == nil {
 		p.stamper = ast.NewIDStamper()
 	}
 	if collectKinds {
-		out.Kinds = p.stamper.Stamp(prog, make([]uint16, 0, out.arena.NodeCount()))
+		kinds := out.Kinds[:0]
+		if n := out.arena.NodeCount(); cap(kinds) < n {
+			kinds = make([]uint16, 0, n)
+		}
+		out.Kinds = p.stamper.Stamp(prog, kinds)
 	} else {
 		p.stamper.StampIDs(prog)
 	}
-	// The token and comment buffers belong to the reusable parser; the
-	// Result must own its slices so the next parse cannot clobber them.
+	// The token and comment buffers are the session's; the Result aliases
+	// them and so shares their lifetime.
+	out.Tokens = nil
 	if p.collect {
-		out.Tokens = append([]lexer.Token(nil), p.tokens...)
+		out.Tokens = p.tokens
 	}
 	out.NumTokens = p.numTokens
-	out.Comments = append([]lexer.Comment(nil), p.lex.Comments()...)
+	out.Comments = p.lex.Comments()
 	return out, nil
-}
-
-// ParseProgram parses source and returns only the AST root (tokens are not
-// materialized, and neither is the kind stream — callers that drop the
-// Result cannot use it).
-func ParseProgram(src string) (*ast.Program, error) {
-	s := sessions.Get().(*Session)
-	defer sessions.Put(s)
-	res, err := s.p.parse(src, false, false)
-	if err != nil {
-		return nil, err
-	}
-	return res.Program, nil
 }
 
 type parser struct {
@@ -217,9 +239,7 @@ type parser struct {
 	arrowFail map[int]bool
 
 	// arena allocates every AST node of the current parse. It points into
-	// the Result under construction and is never pooled: a fresh parse
-	// gets a fresh arena so earlier Results keep sole ownership of their
-	// nodes.
+	// the session's Result and is reset at the start of every parse.
 	arena *ast.Arena
 
 	// stamper assigns dense pre-order NodeIDs after a successful parse. It

@@ -32,14 +32,17 @@ type Forest struct {
 }
 
 // Predict returns the probability of the positive class for x.
-func (f *Forest) Predict(x []float64) float64 {
+func (f *Forest) Predict(x []float64) float64 { return f.predict(x, nil) }
+
+// predict is Predict on x extended by tail (see Tree.predict).
+func (f *Forest) predict(x, tail []float64) float64 {
 	if len(f.Trees) == 0 {
 		return 0.5
 	}
 	obs.Add("ml.tree_evals", int64(len(f.Trees)))
 	sum := 0.0
 	for _, t := range f.Trees {
-		sum += t.Predict(x)
+		sum += t.predict(x, tail)
 	}
 	return sum / float64(len(f.Trees))
 }

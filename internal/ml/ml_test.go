@@ -3,6 +3,7 @@ package ml
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -111,6 +112,46 @@ func TestChainLearnsCorrelatedLabels(t *testing.T) {
 	}
 	if acc := float64(correct) / float64(total); acc < 0.8 {
 		t.Fatalf("chain per-label accuracy = %.3f, want >= 0.8", acc)
+	}
+}
+
+// TestChainPredictReadsLinksInPlace pins Chain.PredictProbs, which reads
+// the earlier links' probabilities in place, bit for bit against the
+// copy-and-append evaluation it replaced, and holds it to the one
+// allocation of its result.
+func TestChainPredictReadsLinksInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	x, y := synthMultiLabel(rng, 800)
+	chain, err := TrainChain(x, y, []string{"a", "b", "c"}, ForestOptions{NumTrees: 20}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := len(x[0])
+	chained := false
+	for _, f := range chain.Forests {
+		for _, tr := range f.Trees {
+			for _, n := range tr.Nodes {
+				chained = chained || (n.Left >= 0 && int(n.Feature) >= dims)
+			}
+		}
+	}
+	if !chained {
+		t.Fatal("no tree splits on a chained probability; the test proves nothing")
+	}
+	xt, _ := synthMultiLabel(rng, 300)
+	for i, v := range xt {
+		ext := append([]float64(nil), v...)
+		got := chain.PredictProbs(v)
+		for j, f := range chain.Forests {
+			want := f.Predict(ext)
+			if math.Float64bits(got[j]) != math.Float64bits(want) {
+				t.Fatalf("sample %d link %d: prob %v, want %v", i, j, got[j], want)
+			}
+			ext = append(ext, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { chain.PredictProbs(xt[0]) }); allocs > 1 {
+		t.Fatalf("PredictProbs allocates %.0f times per call, want 1", allocs)
 	}
 }
 

@@ -29,16 +29,15 @@ type Chain struct {
 // Labels implements MultiTask.
 func (c *Chain) Labels() []string { return c.Names }
 
-// PredictProbs implements MultiTask.
+// PredictProbs implements MultiTask. Link i sees x extended by the
+// probabilities of links 0..i-1, read in place from probs rather than from
+// a copy of x.
 func (c *Chain) PredictProbs(x []float64) []float64 {
 	defer obs.Time("ml.predict")()
 	obs.Add("ml.predictions", 1)
 	probs := make([]float64, len(c.Forests))
-	ext := make([]float64, len(x), len(x)+len(c.Forests))
-	copy(ext, x)
 	for i, f := range c.Forests {
-		probs[i] = f.Predict(ext)
-		ext = append(ext, probs[i])
+		probs[i] = f.predict(x, probs[:i])
 	}
 	return probs
 }

@@ -63,7 +63,12 @@ type Tree struct {
 }
 
 // Predict returns the probability of the positive class for x.
-func (t *Tree) Predict(x []float64) float64 {
+func (t *Tree) Predict(x []float64) float64 { return t.predict(x, nil) }
+
+// predict evaluates the tree on x extended by tail: feature len(x)+j reads
+// tail[j]. A classifier chain passes the earlier links' probabilities as
+// tail instead of copying x to append them.
+func (t *Tree) predict(x, tail []float64) float64 {
 	if len(t.Nodes) == 0 {
 		return 0.5
 	}
@@ -73,7 +78,13 @@ func (t *Tree) Predict(x []float64) float64 {
 		if n.Left < 0 {
 			return n.Prob
 		}
-		if x[n.Feature] <= n.Threshold {
+		var v float64
+		if f := int(n.Feature); f < len(x) {
+			v = x[f]
+		} else {
+			v = tail[f-len(x)]
+		}
+		if v <= n.Threshold {
 			i = n.Left
 		} else {
 			i = n.Right

@@ -38,11 +38,15 @@ echo "jslint clean in $(( $(date +%s) - jslint_start ))s"
 # The batch scan engine and the CLI on top of it are the concurrency-heavy
 # paths; race-check them first and explicitly so a worker-pool regression
 # fails fast (the full -race suite below still covers everything). Dedup
-# covers the content-hash cache (shared LRU under concurrent workers) and
-# the pooled zero-alloc extractors feeding the same scan path.
-echo "== go test -race (batch scan + dedup) =="
+# covers the content-hash cache (shared LRU under concurrent workers), the
+# pooled zero-alloc extractors feeding the same scan path, and the pooled
+# parser and flow sessions behind them.
+echo "== go test -race (batch scan + dedup + sessions) =="
 go test -race -run 'Scan|Dedup|ParallelTrain' ./internal/core ./cmd/jsdetect
 go test -race -run 'NGram|CollectStats|ExtractFull' ./internal/features
+# Parser and flow sessions are pooled and lent to one-shot callers through
+# parser.Use and flow.Use, across training's parallelFor goroutines too.
+go test -race -run 'Session|Use' ./internal/js/parser ./internal/flow
 
 # The scan service is the worker-pool-over-HTTP layer: the soak test compares
 # concurrent /v1/scan verdicts bit-for-bit against a direct ScanBatch, and
